@@ -1,40 +1,38 @@
-"""Whole-pipeline kernel compilation benchmark (the PR 8 tentpole).
+"""Compiled row-stage benchmark.
 
 Runs a multi-stage relational chain — nested filter/project subqueries
-feeding a grouped aggregate — and compares three execution paths over the
+feeding a grouped aggregate — and compares the two execution paths of the
 same statement:
 
-* the per-operator **interpreter** (``compile_exprs=False``),
-* the per-operator **expression kernels** (``compile_exprs=True``,
-  ``compile_pipelines=False``): each Filter/Project materialises its
-  output table, so every stage of the chain pays a gather and a set of
-  column constructions over its surviving rows, and
-* the **fused pipeline** (``compile_pipelines=True``): the pipeline
-  compiler substitutes every stage onto the base scan's columns, so
-  selection stays a mask/index vector end to end — one conjunction mask
-  over the base, one gather of the rows that survive *all* stages, and
-  the aggregate's inputs evaluated directly on the selected view.
+* the **interpreter cascade** (``compile_exprs=False``): each Filter/Project
+  materialises its output table, so every step of the chain pays a gather
+  and a set of column constructions over its surviving rows, and
+* the **compiled stage** (``compile_exprs=True``, the default): the stage
+  lowering inlines every step onto the base scan's columns, so selection
+  stays a mask/index vector end to end — one conjunction mask over the
+  base, one gather of the rows that survive *all* steps, and the fused
+  aggregate's inputs evaluated directly on the selected view.
 
-The workload is shaped so the fusion win is structural, not accidental:
-early stages are mildly selective (their per-operator gathers stay near
-full-size) while the final stage is highly selective, so the fused path's
-single gather is small. That is exactly the regime the per-operator path
-cannot express — it has already materialised three near-full-size
-intermediate tables by the time the selective tail runs.
+The workload is shaped so the stage win is structural, not accidental:
+early steps are mildly selective (their per-operator gathers stay near
+full-size) while the final step is highly selective, so the stage's single
+gather is small. That is exactly the regime the cascade cannot express —
+it has already materialised three near-full-size intermediate tables by
+the time the selective tail runs.
 
 Gating:
 
-* **Bit-identity** (unconditional, any machine): every path — including
-  ``compile_pipelines`` under shards 3 and 4, which lowers the grouped
+* **Bit-identity** (unconditional, any machine): both paths — including
+  the compiled stage under shards 3 and 4, which lowers the grouped
   aggregate to per-shard partials with a merge at the stitch barrier —
-  returns byte-identical group keys, counts and sums.
-* **Latency** (gated at full scale): the fused pipeline must beat the
-  per-operator kernel path by >= 2x. Both legs are serial numpy, so the
-  ratio is core-count independent; below full scale
-  (``REPRO_BENCH_SCALE < 1``) fixed per-query overheads dominate and the
-  bench reports the ratio but gates only a >= 1.2x floor.
-* **Plan shape**: EXPLAIN must show the fused subtree as a single
-  ``CompiledPipeline[...]`` operator ending in the aggregate.
+  return byte-identical group keys, counts and sums.
+* **Latency** (gated at full scale): the compiled stage must beat the
+  interpreter cascade by >= 2x. Both legs are serial numpy, so the ratio
+  is core-count independent; below full scale (``REPRO_BENCH_SCALE < 1``)
+  fixed per-query overheads dominate and the bench reports the ratio but
+  gates only a >= 1.2x floor.
+* **Plan shape**: EXPLAIN must show the chain as a single
+  ``CompiledStage[...]`` operator ending in the aggregate.
 """
 
 import numpy as np
@@ -62,14 +60,10 @@ QUERY = ("SELECT s, COUNT(*) AS c, SUM(v) AS sm FROM "
          " WHERE y < 2.5) q4 "
          "WHERE w > 35 GROUP BY s")
 
-INTERP = {"compile_exprs": False, "compile_pipelines": False,
-          "tensor_cache": False}
-OP_KERNELS = {"compile_exprs": True, "compile_pipelines": False,
-              "tensor_cache": False}
-PIPELINE = {"compile_pipelines": True, "tensor_cache": False}
-PIPELINE_SHARDED = [
-    {"compile_pipelines": True, "tensor_cache": False,
-     "shards": shards, "parallel_min_rows": 2}
+INTERP = {"compile_exprs": False, "tensor_cache": False}
+STAGE = {"tensor_cache": False}
+STAGE_SHARDED = [
+    {"tensor_cache": False, "shards": shards, "parallel_min_rows": 2}
     for shards in (3, 4)
 ]
 
@@ -105,57 +99,53 @@ class TestPipelineCompile:
     def test_fused_speedup_and_bit_identity(self, benchmark):
         session = _session()
         interp_q = session.sql.query(QUERY, extra_config=INTERP)
-        kernel_q = session.sql.query(QUERY, extra_config=OP_KERNELS)
-        pipeline_q = session.sql.query(QUERY, extra_config=PIPELINE)
+        stage_q = session.sql.query(QUERY, extra_config=STAGE)
 
-        # Bit-identity across the whole shard x knob matrix first (also
-        # warms every code path before timing).
+        # Bit-identity across the shard matrix first (also warms every code
+        # path before timing).
         base = _snapshot(interp_q.run())
         assert base["c"].sum() > 0, "selective tail filtered everything out"
-        _assert_bitwise(base, _snapshot(kernel_q.run()), "op-kernels")
-        _assert_bitwise(base, _snapshot(pipeline_q.run()), "pipeline")
-        for extra in PIPELINE_SHARDED:
+        _assert_bitwise(base, _snapshot(stage_q.run()), "stage")
+        for extra in STAGE_SHARDED:
             sharded = _snapshot(
                 session.sql.query(QUERY, extra_config=extra).run())
-            _assert_bitwise(base, sharded, f"pipeline shards={extra['shards']}")
+            _assert_bitwise(base, sharded, f"stage shards={extra['shards']}")
 
         t_interp = time_call(interp_q.run, repeat=5)
-        t_kernel = time_call(kernel_q.run, repeat=5)
-        t_pipeline = time_call(pipeline_q.run, repeat=5)
-        speedup = t_kernel / max(t_pipeline, 1e-9)
+        t_stage = time_call(stage_q.run, repeat=5)
+        speedup = t_interp / max(t_stage, 1e-9)
         full_scale = bench_scale() >= 1
         gate = 2.0 if full_scale else 1.2
         print_table(
-            f"whole-pipeline codegen: 5-stage chain -> GROUP BY "
-            f"({N_ROWS} rows)",
-            ["path", "seconds", "vs op-kernels"],
-            [["interpreter", t_interp, f"{t_kernel / t_interp:.2f}x"],
-             ["op-kernels", t_kernel, "1.00x"],
-             ["fused pipeline", t_pipeline, f"{speedup:.2f}x"]],
+            f"compiled stage: 5-step chain -> GROUP BY ({N_ROWS} rows)",
+            ["path", "seconds", "vs interpreter"],
+            [["interpreter cascade", t_interp, "1.00x"],
+             ["compiled stage", t_stage, f"{speedup:.2f}x"]],
         )
         record_metric(
             "pipeline_compile",
             rows=N_ROWS, speedup=round(speedup, 2), gate=gate,
-            interpreter_s=round(t_interp, 5), op_kernels_s=round(t_kernel, 5),
-            pipeline_s=round(t_pipeline, 5),
+            interpreter_s=round(t_interp, 5), stage_s=round(t_stage, 5),
         )
         assert speedup >= gate, (
-            f"fused pipeline gained {speedup:.2f}x over the per-operator "
-            f"kernel path (gate {gate}x at scale {bench_scale():g})")
+            f"compiled stage gained {speedup:.2f}x over the interpreter "
+            f"cascade (gate {gate}x at scale {bench_scale():g})")
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     def test_plan_shows_single_fused_operator(self, benchmark):
-        """The fused subtree is one CompiledPipeline operator ending in the
-        aggregate — what EXPLAIN ANALYZE attributes pipeline spans to."""
+        """The chain is one CompiledStage operator ending in the aggregate
+        — what EXPLAIN ANALYZE attributes the stage's time to."""
         session = _session()
-        text = session.sql.query(QUERY, extra_config=PIPELINE).explain()
-        fused = [line for line in text.splitlines()
-                 if "CompiledPipeline[" in line]
-        assert len(fused) == 1, text
-        assert "SortAggregate" in fused[0], fused[0]
-        # The per-operator chain collapsed: no free-standing filter/project
-        # physical operators remain below the fused pipeline.
+        text = session.sql.query(QUERY, extra_config=STAGE).explain()
         physical = text.split("== Physical operators ==")[1]
-        assert "CompiledFilter(" not in physical.replace(
-            fused[0].strip(), ""), text
+        fused = [line.strip() for line in physical.splitlines()
+                 if "CompiledStage[" in line and "Filter(" in line]
+        assert len(fused) == 1, text
+        assert fused[0].count("Filter(") == 5, fused[0]
+        assert fused[0].endswith("SortAggregate(groups=['s'])]"), fused[0]
+        # The chain collapsed: apart from the output projection's own
+        # stage, no filter/project physical operators remain outside it.
+        others = [line.strip() for line in physical.strip().splitlines()
+                  if "CompiledStage[" not in line]
+        assert others == ["Scan(t)"], text
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import threading
 import time
 from typing import Dict, List, Sequence
@@ -105,6 +106,13 @@ def time_call(fn, *args, repeat: int = 1, **kwargs) -> float:
         fn(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def median_call(fn, *args, repeat: int = 7, **kwargs) -> float:
+    """Median wall time of ``repeat`` single calls, in seconds: steadier
+    than best-of-N when two paths differ by less than the timer's noise."""
+    return statistics.median(time_call(fn, *args, **kwargs)
+                             for _ in range(max(repeat, 1)))
 
 
 def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],

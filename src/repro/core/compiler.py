@@ -5,6 +5,15 @@ physical operator, we can have more than one [tensor] implementation, and at
 compilation time we use a mix of flags (e.g., Listing 6) and heuristics to
 pick which one to use." Flags arrive through :class:`QueryConfig`; the
 heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``.
+
+Row-wise Filter/Project chains have two physical forms, chosen by the one
+``compile_exprs`` flag. Off (and always for trainable queries) a chain is
+the interpreter cascade: one ``FilterExec`` per conjunct and one
+``ProjectExec`` per projection, the differential oracle. On, the same
+cascade is grouped into compiled row stages (``CompiledStageExec``, see
+:mod:`repro.core.kernels.pipeline`), and in a serial plan a sort aggregate
+directly above the chain fuses into its last stage. ``_lower_row_chain`` is the single decision point: a
+chain the kernels cannot take stays a cascade with ``declined=<reason>``.
 """
 
 from __future__ import annotations
@@ -19,8 +28,6 @@ from repro.core.operators import (
     DistinctExec,
     DropIndexExec,
     FilterExec,
-    FusedFilterExec,
-    FusedFilterProjectExec,
     HashAggregateExec,
     IndexScanExec,
     JoinExec,
@@ -35,16 +42,10 @@ from repro.core.operators import (
     TVFExec,
     TopKExec,
 )
-from repro.core.kernels.compiler import compile_filter, compile_projection
-from repro.core.operators.compiled import (
-    CompiledFilterExec,
-    CompiledFusedFilterExec,
-    CompiledFusedFilterProjectExec,
-    CompiledPipelineExec,
-    CompiledProjectExec,
-)
-from repro.core.operators.fused import can_substitute, substitute_columns
+from repro.core.kernels.compiler import UnsupportedExpr
+from repro.core.kernels.pipeline import lower_chain
 from repro.sql import logical
+from repro.sql.optimizer.pushdown import split_conjuncts
 from repro.tcr.device import as_device
 
 
@@ -83,12 +84,6 @@ class Compiler:
             metrics = self.session.metrics if self.session is not None else None
             root = insert_exchanges(root, self.config, self.shard_pool,
                                     ExecNode, metrics)
-        if self._pipelining:
-            # Whole-pipeline codegen: fuse maximal breaker-free
-            # scan→filter→project[→aggregate] subtrees into one compiled
-            # callable (sharded drivers keep their shape and gain a fused
-            # per-shard body; serial chains collapse into one operator).
-            root = self._fuse_pipelines(root)
         aggregate_outputs = _aggregate_output_slots(plan)
         query = CompiledQuery(
             root=root,
@@ -120,20 +115,20 @@ class Compiler:
             op = TVFExec(plan.udf, plan.arg_exprs, [name for name, _ in plan.schema])
             return ExecNode(op, [child])
 
-        if isinstance(plan, logical.Filter):
-            if self.config.trainable and self.config.soft_filter:
-                child = self._lower(plan.input)
-                op = SoftFilterExec(plan.predicate, self.config.soft_temperature)
-                return ExecNode(op, [child])
-            predicates, bottom = self._collect_filters(plan)
-            return self._lower_filter_pipeline(predicates, bottom)
+        if isinstance(plan, logical.Filter) and self._soft_filtering:
+            child = self._lower(plan.input)
+            op = SoftFilterExec(plan.predicate, self.config.soft_temperature)
+            return ExecNode(op, [child])
 
-        if isinstance(plan, logical.Project):
-            return self._lower_project(plan)
+        if isinstance(plan, (logical.Filter, logical.Project)):
+            return self._lower_row_chain(plan)
 
         if isinstance(plan, logical.Aggregate):
-            child = self._lower(plan.input)
             op = self._pick_aggregate(plan)
+            if self._fusing_aggregates and isinstance(
+                    plan.input, (logical.Filter, logical.Project)):
+                return self._lower_row_chain(plan.input, aggregate=op)
+            child = self._lower(plan.input)
             return ExecNode(op, [child])
 
         if isinstance(plan, logical.JoinPlan):
@@ -183,7 +178,7 @@ class Compiler:
         raise PlanError(f"cannot lower {type(plan).__name__}")
 
     # ------------------------------------------------------------------
-    # Filter/Project fusion
+    # Rewrite preconditions
     # ------------------------------------------------------------------
     @property
     def _sharding(self) -> bool:
@@ -202,156 +197,57 @@ class Compiler:
                 and not self.config.trainable)
 
     @property
-    def _fusing(self) -> bool:
-        # Trainable compilations keep the one-module-per-operator shape the
-        # soft/differentiable machinery assumes; everything else fuses by default.
-        return self.config.fuse_operators and not self.config.trainable
-
-    @property
     def _compiling(self) -> bool:
         # Kernel codegen detaches from autograd, so trainable compilations
         # always stay on the interpreter (gradients flow through tcr ops).
         return self.config.compile_exprs and not self.config.trainable
 
     @property
-    def _pipelining(self) -> bool:
-        # Pipeline fusion builds on the expression kernels and shares their
-        # autograd caveat; both knobs must be on for whole-pipeline codegen.
-        return (self.config.compile_pipelines and self.config.compile_exprs
-                and not self.config.trainable)
+    def _fusing_aggregates(self) -> bool:
+        # The sharded and exchange rewrites own the aggregate above a chain
+        # (partial states, repartitioning), so only serial plans fuse it.
+        return self._compiling and not (self._sharding or self._exchanging)
 
-    def _fuse_pipelines(self, node: ExecNode) -> ExecNode:
-        """Post-lowering pass: attach/substitute compiled whole pipelines.
+    @property
+    def _soft_filtering(self) -> bool:
+        return self.config.trainable and self.config.soft_filter
 
-        Sharded drivers keep their operator (the partition/merge machinery
-        is theirs) and gain a ``compiled_pipeline`` body run per shard;
-        serial Scan→row-wise[→SortAggregate] chains are replaced by a
-        :class:`CompiledPipelineExec` leaf. Anything that fails a breaker
-        rule is left on the per-operator path untouched.
+    # ------------------------------------------------------------------
+    # Filter/Project chains
+    # ------------------------------------------------------------------
+    def _lower_row_chain(self, plan: logical.LogicalPlan,
+                         aggregate=None) -> ExecNode:
+        """Lower a maximal Filter/Project chain: its interpreter cascade,
+        grouped into compiled stages when ``compile_exprs`` is on, under
+        ``aggregate`` (fused into the last stage when it can be).
+
+        Conjuncts keep *execution* order (innermost Filter first): an inner
+        filter guards the predicates stacked above it, and cost ordering is
+        the optimizer's job.
         """
-        from repro.core.kernels.pipeline import compile_pipeline
-        from repro.core.operators.sharded import _ShardedBase, _match_chain
-
-        op = node.op
-        if isinstance(op, _ShardedBase):
-            # Per-shard body only: the driver still computes/merges partial
-            # states itself, so the aggregate (if any) is not fused here.
-            op.compiled_pipeline = compile_pipeline(op.pipeline)
-            return node
-        if type(op) is SortAggregateExec and len(node._children_nodes) == 1:
-            chain = _match_chain(node._children_nodes[0])
-            if chain is not None and chain[1]:
-                scan, pipeline = chain
-                compiled = compile_pipeline(pipeline, aggregate=op)
-                if compiled is not None:
-                    return ExecNode(
-                        CompiledPipelineExec(scan, pipeline, op, compiled), [])
-        chain = _match_chain(node)
-        if chain is not None:
-            scan, pipeline = chain
-            compiled = compile_pipeline(pipeline) if len(pipeline) >= 2 else None
-            if compiled is not None:
-                return ExecNode(
-                    CompiledPipelineExec(scan, pipeline, None, compiled), [])
-            return node     # chains bottom out at the scan; nothing below
-        children = [self._fuse_pipelines(c) for c in node._children_nodes]
-        if all(new is old for new, old in zip(children, node._children_nodes)):
-            return node
-        return ExecNode(op, children)
-
-    # Kernel-compiling operator factories: each tries to lower the expression
-    # list into a vectorized kernel and silently keeps the interpreter
-    # operator when any expression shape is unsupported (the plan shows the
-    # choice: compiled operators describe() with a "Compiled" prefix).
-    def _make_filter(self, predicate) -> FilterExec:
-        if self._compiling:
-            kernel = compile_filter([predicate])
-            if kernel is not None:
-                return CompiledFilterExec(predicate, kernel)
-        return FilterExec(predicate)
-
-    def _make_fused_filter(self, predicates) -> FusedFilterExec:
-        if self._compiling:
-            kernel = compile_filter(predicates)
-            if kernel is not None:
-                return CompiledFusedFilterExec(predicates, kernel)
-        return FusedFilterExec(predicates)
-
-    def _make_fused_filter_project(self, predicates, exprs, names) -> FusedFilterProjectExec:
-        if self._compiling:
-            filter_kernel = compile_filter(predicates)
-            project_kernel = compile_projection(exprs, names)
-            if filter_kernel is not None and project_kernel is not None:
-                return CompiledFusedFilterProjectExec(
-                    predicates, exprs, names, filter_kernel, project_kernel)
-        return FusedFilterProjectExec(predicates, exprs, names)
-
-    def _make_project(self, exprs, names) -> ProjectExec:
-        if self._compiling:
-            kernel = compile_projection(exprs, names)
-            if kernel is not None:
-                return CompiledProjectExec(exprs, names, kernel)
-        return ProjectExec(exprs, names)
-
-    def _collect_filters(self, plan: logical.Filter):
-        """Flatten a chain of Filter nodes into its conjunct list + input.
-
-        Conjuncts are returned in *execution* order (innermost node first):
-        an inner filter guards the predicates stacked above it.
-        """
-        from repro.sql.optimizer.pushdown import split_conjuncts
-        groups: List[List] = []
-        node: logical.LogicalPlan = plan
-        while isinstance(node, logical.Filter):
-            groups.append(split_conjuncts(node.predicate))
+        chain = []
+        node = plan
+        while isinstance(node, logical.Project) or (
+                isinstance(node, logical.Filter) and not self._soft_filtering):
+            chain.append(node)
             node = node.input
-        predicates = [p for group in reversed(groups) for p in group]
-        return predicates, node
-
-    def _lower_filter_pipeline(self, predicates, bottom: logical.LogicalPlan) -> ExecNode:
-        """Lower a conjunct list: fuse the UDF-free prefix into one pass.
-
-        Cost ordering is the optimizer's job, so the conjunct order is kept
-        as given: the leading UDF-free conjuncts evaluate as a single mask +
-        gather, and everything from the first UDF-bearing conjunct on stays a
-        cascade so user code still only sees pre-filtered rows.
-        """
-        node = self._lower(bottom)
-        if not self._fusing:
-            for conjunct in predicates:
-                node = ExecNode(self._make_filter(conjunct), [node])
-            return node
-        prefix_len = 0
-        while prefix_len < len(predicates) and not predicates[prefix_len].contains_udf():
-            prefix_len += 1
-        prefix, rest = predicates[:prefix_len], predicates[prefix_len:]
-        if len(prefix) == 1:
-            node = ExecNode(self._make_filter(prefix[0]), [node])
-        elif prefix:
-            node = ExecNode(self._make_fused_filter(prefix), [node])
-        for conjunct in rest:
-            node = ExecNode(self._make_filter(conjunct), [node])
-        return node
-
-    def _lower_project(self, plan: logical.Project) -> ExecNode:
-        exprs = list(plan.exprs)
-        names = [name for name, _ in plan.schema]
-        node: logical.LogicalPlan = plan.input
-        if self._fusing:
-            # Project→Project: merge by inlining the inner projection.
-            while isinstance(node, logical.Project) and can_substitute(exprs, node.exprs):
-                exprs = [substitute_columns(e, node.exprs) for e in exprs]
-                node = node.input
-            # Filter→Project: one mask pass + lazy per-column gather, when no
-            # conjunct carries a UDF (UDF conjuncts must see filtered rows).
-            if isinstance(node, logical.Filter):
-                predicates, bottom = self._collect_filters(node)
-                if not any(p.contains_udf() for p in predicates):
-                    child = self._lower(bottom)
-                    op = self._make_fused_filter_project(predicates, exprs, names)
-                    return ExecNode(op, [child])
-        child = self._lower(node)
-        return ExecNode(self._make_project(exprs, names), [child])
+        cascade = []
+        for link in reversed(chain):
+            if isinstance(link, logical.Filter):
+                cascade.extend(FilterExec(c) for c in split_conjuncts(link.predicate))
+            else:
+                cascade.append(ProjectExec(list(link.exprs),
+                                           [name for name, _ in link.schema]))
+        ops = cascade + ([aggregate] if aggregate is not None else [])
+        if self._compiling:
+            try:
+                ops = lower_chain(cascade, aggregate)
+            except UnsupportedExpr as exc:
+                cascade[-1].declined = str(exc)
+        result = self._lower(node)
+        for op in ops:
+            result = ExecNode(op, [result])
+        return result
 
     # ------------------------------------------------------------------
     # Implementation choices (flags + heuristics)

@@ -11,7 +11,6 @@ class constants:
     TRAINABLE = "trainable"
     # Operator implementation choices ("auto" lets heuristics decide).
     GROUPBY_IMPL = "groupby_impl"          # auto | sort | hash | soft
-    JOIN_IMPL = "join_impl"                # auto | lookup | sortmerge
     TOPK_IMPL = "topk_impl"                # auto | sort | partition
     # Optimizer control.
     DISABLE_RULES = "disable_rules"        # iterable of {fold, pushdown, prune, vector_index}
@@ -20,7 +19,6 @@ class constants:
     SOFT_TEMPERATURE = "soft_temperature"  # sigmoid sharpness for soft filters
     # Execution-speed subsystem.
     PLAN_CACHE = "plan_cache"              # reuse compiled plans across calls
-    FUSE_OPERATORS = "fuse_operators"      # collapse Filter/Project pipelines
     TENSOR_CACHE = "tensor_cache"          # reuse UDF/embedding materializations
     # Vector-index subsystem.
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
@@ -30,8 +28,7 @@ class constants:
     PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs ("auto" adapts)
     EXCHANGE = "exchange"                  # hash-repartition joins/grouped aggregates
     # Expression codegen (TQP-style kernel compilation).
-    COMPILE_EXPRS = "compile_exprs"        # compile Filter/Project expression kernels
-    COMPILE_PIPELINES = "compile_pipelines"  # fuse whole scan→filter→project→agg subtrees
+    COMPILE_EXPRS = "compile_exprs"        # lower Filter/Project chains to compiled stages
     # Observability.
     TELEMETRY = "telemetry"                # trace every run (EXPLAIN ANALYZE forces it)
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)
@@ -47,13 +44,11 @@ class constants:
 _DEFAULTS = {
     constants.TRAINABLE: False,
     constants.GROUPBY_IMPL: "auto",
-    constants.JOIN_IMPL: "auto",
     constants.TOPK_IMPL: "auto",
     constants.DISABLE_RULES: (),
     constants.SOFT_FILTER: False,
     constants.SOFT_TEMPERATURE: 25.0,
     constants.PLAN_CACHE: True,
-    constants.FUSE_OPERATORS: True,
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
     constants.PARALLEL_SCAN: True,
@@ -61,7 +56,6 @@ _DEFAULTS = {
     constants.PARALLEL_MIN_ROWS: 64,
     constants.EXCHANGE: True,
     constants.COMPILE_EXPRS: True,
-    constants.COMPILE_PIPELINES: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
     constants.SCHEDULER_WORKERS: None,
@@ -101,10 +95,6 @@ class QueryConfig:
         return str(self._values[constants.GROUPBY_IMPL])
 
     @property
-    def join_impl(self) -> str:
-        return str(self._values[constants.JOIN_IMPL])
-
-    @property
     def topk_impl(self) -> str:
         return str(self._values[constants.TOPK_IMPL])
 
@@ -123,10 +113,6 @@ class QueryConfig:
     @property
     def plan_cache(self) -> bool:
         return bool(self._values[constants.PLAN_CACHE])
-
-    @property
-    def fuse_operators(self) -> bool:
-        return bool(self._values[constants.FUSE_OPERATORS])
 
     @property
     def tensor_cache(self) -> bool:
@@ -198,10 +184,6 @@ class QueryConfig:
     @property
     def compile_exprs(self) -> bool:
         return bool(self._values[constants.COMPILE_EXPRS])
-
-    @property
-    def compile_pipelines(self) -> bool:
-        return bool(self._values[constants.COMPILE_PIPELINES])
 
     @property
     def telemetry(self) -> bool:

@@ -175,14 +175,6 @@ class ExpressionEvaluator:
     def _eval_BCall(self, expr: b.BCall) -> Value:
         udf = expr.udf
         values = [self.evaluate(arg) for arg in expr.args]
-        args = []
-        for value in values:
-            if isinstance(value, Scalar):
-                args.append(value.value)
-            elif udf.encoded_io or not isinstance(value.encoding, PlainEncoding):
-                args.append(value.encoded)
-            else:
-                args.append(value.tensor)
 
         # Materialization cache: deterministic UDFs outside grad recording
         # consult the session cache. A full hit skips inference entirely; a
@@ -200,10 +192,10 @@ class ExpressionEvaluator:
         use_cache = cache is not None and eligible
         want_tags = use_cache or (eligible and tc.active_batcher() is not None)
         key = None
-        tags = ()
+        tagged = ()
         if want_tags:
-            key, full_key, rows, tags = _bcall_cache_plan(udf, values, args,
-                                                          self, cache)
+            key, full_key, rows, tagged = _bcall_cache_plan(udf, values, self,
+                                                            cache)
             if use_cache and key is not None:
                 cached = cache.udf_get(key, full_key, rows,
                                        num_rows=self.num_rows)
@@ -213,14 +205,29 @@ class ExpressionEvaluator:
                     tel_count(tensor_cache_hits=1)
                     return cached[0]
                 tel_count(tensor_cache_misses=1)
-            if tags:
-                # Tag the argument tensors so encoder memos inside the UDF
-                # (model.encode_image) can capture/reuse embeddings. Tags
-                # are removed after the invocation: they must never leak
-                # into a later call that did not opt into caching (e.g. a
-                # deterministic=False UDF sharing the same model).
-                for tensor, tag in tags:
-                    tc.tag_tensor(tensor, tag)
+
+        # Argument data is read only past the cache probe: a hit never
+        # touches it, so a deferred row gather (Column.take_deferred) of
+        # an argument column is never copied.
+        args = []
+        for value in values:
+            if isinstance(value, Scalar):
+                args.append(value.value)
+            elif udf.encoded_io or not isinstance(value.encoding, PlainEncoding):
+                args.append(value.encoded)
+            else:
+                args.append(value.tensor)
+        tags = []
+        for position, tag in tagged:
+            arg = args[position]
+            tags.append((arg.tensor if isinstance(arg, EncodedTensor) else arg, tag))
+        # Tag the argument tensors so encoder memos inside the UDF
+        # (model.encode_image) can capture/reuse embeddings. Tags are
+        # removed after the invocation: they must never leak into a later
+        # call that did not opt into caching (e.g. a deterministic=False UDF
+        # sharing the same model).
+        for tensor, tag in tags:
+            tc.tag_tensor(tensor, tag)
 
         try:
             columns = _invoke_batched(udf, args, self.num_rows, self.device)
@@ -660,26 +667,27 @@ def _udf_needs_grad(udf) -> bool:
     return is_grad_enabled() and any(p.requires_grad for p in udf.parameters())
 
 
-def _bcall_cache_plan(udf, values, args, evaluator, cache):
-    """Build cache keys for one UDF call.
+def _bcall_cache_plan(udf, values, evaluator, cache):
+    """Build cache keys for one UDF call from its argument values' content
+    identity alone (their data is not read).
 
-    Returns ``(key, full_key, rows, tags)``: the exact entry key; the
+    Returns ``(key, full_key, rows, tagged)``: the exact entry key; the
     full-column key usable for a row gather (when every column argument is
     the same row subset of its base column); the subset row indices; and
-    ``(tensor, tag)`` pairs to attach before invoking the UDF. ``key`` is
-    None when an argument has no stable content identity. ``cache`` may be
-    None (batcher-only tagging): tags are still computed, keys are not
-    usable for insertion but content identity is what in-flight encoder
-    dedup runs on.
+    ``(argument position, tag)`` pairs whose argument tensors get tagged
+    before invoking the UDF. ``key`` is None when an argument has no
+    stable content identity. ``cache`` may be None (batcher-only tagging):
+    tags are still computed, keys are not usable for insertion but content
+    identity is what in-flight encoder dedup runs on.
     """
     state_fp = cache.udf_state_fp(udf) if cache is not None else "nocache"
     head = ("udf", udf.name.lower(), getattr(udf, "version", 0), state_fp,
             str(evaluator.device))
-    parts, full_parts, tags = [head], [head], []
+    parts, full_parts, tagged = [head], [head], []
     rows = None
     rows_fps = set()
     any_column = False
-    for value, arg in zip(values, args):
+    for position, value in enumerate(values):
         if isinstance(value, Scalar):
             v = value.value
             try:
@@ -698,15 +706,14 @@ def _bcall_cache_plan(udf, values, args, evaluator, cache):
             rows = tag.rows
         parts.append(("col", tag.base, tag.rows_fp))
         full_parts.append(("col", tag.base, None))
-        tensor = arg.tensor if isinstance(arg, EncodedTensor) else arg
-        tags.append((tensor, tag))
+        tagged.append((position, tag))
     if not any_column:
         # Pure scalar broadcast: the output length is the only data identity.
         parts.append(("nrows", evaluator.num_rows))
     key = tuple(parts)
     subset = (any_column and rows is not None and len(rows_fps) == 1)
     full_key = tuple(full_parts) if subset else None
-    return key, full_key, (rows if subset else None), tags
+    return key, full_key, (rows if subset else None), tagged
 
 
 def _invoke_batched(udf, args: List[object], num_rows: int, device) -> List[Column]:

@@ -25,10 +25,10 @@ Bit-identity contract: for every supported shape the kernel reproduces
 * UDF calls delegate to the operator's ``ExpressionEvaluator`` — the
   tensor-cache keys, content tags and micro-batching are untouched.
 
-``UnsupportedExpr`` at plan time means the operator stays on the
-interpreter; ``KernelFallback`` at run time (a batch violating a
-compile-time assumption, e.g. a string value without a dictionary) makes
-the compiled operator re-run its inherited interpreter forward.
+``UnsupportedExpr`` at plan time means the chain stays on the interpreter
+cascade; ``KernelFallback`` at run time (a batch violating a compile-time
+assumption, e.g. a string value without a dictionary) makes the compiled
+stage re-run the cascade it keeps.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class UnsupportedExpr(Exception):
 
 class KernelFallback(Exception):
     """Run-time: batch data violates a compile-time assumption; the
-    compiled operator falls back to its interpreter forward."""
+    compiled stage falls back to its interpreter cascade."""
 
 
 _MISSING = object()
@@ -722,23 +722,17 @@ def _column_fn(compiled, name: str) -> Callable:
     return fn
 
 
-def compile_filter(predicates: Sequence[b.BoundExpr]) -> Optional[FilterKernel]:
-    """Compile a conjunct list; None when any conjunct is unsupported."""
+def compile_filter(predicates: Sequence[b.BoundExpr]) -> FilterKernel:
+    """Compile a conjunct list; raises UnsupportedExpr for any unsupported
+    conjunct."""
     compiler = ExprCompiler()
-    try:
-        fns = [compiler._mask_fn(compiler.compile(p)) for p in predicates]
-    except UnsupportedExpr:
-        return None
-    return FilterKernel(fns)
+    return FilterKernel([compiler._mask_fn(compiler.compile(p)) for p in predicates])
 
 
 def compile_projection(exprs: Sequence[b.BoundExpr],
-                       names: Sequence[str]) -> Optional[ProjectKernel]:
-    """Compile a projection list; None when any expression is unsupported."""
+                       names: Sequence[str]) -> ProjectKernel:
+    """Compile a projection list; raises UnsupportedExpr for any unsupported
+    expression."""
     compiler = ExprCompiler()
-    try:
-        fns = [_column_fn(compiler.compile(e), name)
-               for e, name in zip(exprs, names)]
-    except UnsupportedExpr:
-        return None
-    return ProjectKernel(fns)
+    return ProjectKernel([_column_fn(compiler.compile(e), name)
+                          for e, name in zip(exprs, names)])

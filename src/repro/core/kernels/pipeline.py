@@ -1,73 +1,78 @@
-"""Whole-pipeline kernel compilation (TQP-style pipeline codegen).
+"""Lower Filter/Project chains to compiled row stages (TQP-style codegen).
 
-PR 6 compiled individual Filter/Project expression trees into vectorized
-kernels, but every operator still materialised its output relation and
-re-entered the interpreter loop before the next one ran. This module lowers
-a maximal breaker-free physical subtree — scan → filter(s) → project(s) →
-optional sort aggregate — into ONE compiled callable:
+The compiler hands every maximal Filter/Project chain of an exact query to
+:func:`lower_chain` as its interpreter cascade: one ``FilterExec`` per
+conjunct and one ``ProjectExec`` per projection, bottom-up in execution
+order, plus the aggregate consuming the chain when the plan runs serially.
+The cascade is grouped into as few
+:class:`~repro.core.operators.stage.CompiledStageExec` operators as the
+rules below allow, and a sort aggregate is fused into the last stage.
 
-* Every filter conjunct and projection expression is rewritten onto the
-  *base scan's* columns with classic projection inlining
-  (:func:`substitute_columns`), so the whole pipeline evaluates against a
-  single shared evaluator over the scanned table.
-* Selection stays an index vector: the fused conjunct list produces one
-  boolean mask over the base rows, ``np.flatnonzero`` turns it into
-  selection indices, and the projection / aggregate-input stage evaluates
-  through a :class:`_GatherEvaluator` — no intermediate ``Relation`` is
-  ever materialised between stages.
-* PR 6's expression kernels are the leaf lowering for the mask and
-  projection stages; aggregate inputs evaluate through the interpreter
-  exactly as the serial sort aggregate evaluates them (over the same
-  selected rows), then reduce with the shared sort-aggregate core.
+Inside a stage every conjunct and projection is rewritten onto the stage's
+*input* columns with classic projection inlining (:func:`substitute_columns`),
+so the stage evaluates one mask over its input rows and evaluates its output
+over the selected rows through a lazy gather.
 
-Bit-identity: element-wise expression evaluation commutes with row
+Bit-identity with the cascade: element-wise evaluation commutes with row
 selection (gather-then-compute equals compute-then-gather per element), so
-ANDing all conjunct masks over the base rows selects exactly the rows the
-staged cascade selects, and evaluating substituted expressions over the
-selected view reproduces the staged results bit-for-bit. The *breakers* —
-shapes where that argument fails and the subtree stays on the per-operator
-path (the oracle) — are:
+ANDing all conjunct masks over the input rows selects exactly the rows the
+cascade selects, and evaluating inlined expressions over the selected view
+reproduces the cascade's values bit for bit. A UDF is the exception — its
+batch shapes and tensor-cache traffic depend on which rows it sees — so the
+grouping keeps every UDF on exactly the rows the cascade feeds it:
 
-* any UDF anywhere in the subtree (batch-shape- and cache-visible),
-* two-argument ROUND with a non-literal digits operand (reads element 0 of
-  its evaluated operand, which is row-position dependent),
-* expression shapes the expression compiler cannot lower
-  (:class:`UnsupportedExpr` → ``compile_filter``/``compile_projection``
-  return None), and
-* substitution failures (unknown node kinds).
+* a UDF-bearing conjunct may only be a stage's *first* conjunct (it then
+  sees all input rows, as the cascade's first filter does); a later one
+  starts a new stage over the previous stage's output;
+* a UDF in a projection or aggregate input evaluates over the stage's
+  selected rows, as the cascade's Project/aggregate does;
+* a projection containing a UDF is never inlined (that could duplicate the
+  call): an operator above it starts a new stage, and an aggregate stays
+  unfused.
 
-At run time a :class:`KernelFallback` from any stage aborts the fused run
-and the owning executor re-runs the per-operator pipeline.
+A chain the kernels cannot take raises :class:`UnsupportedExpr` and the
+compiler keeps the whole cascade, annotating the reason on it:
+
+* an expression shape the expression compiler cannot lower,
+* a two-argument ROUND with a non-literal digits operand that the stage
+  would evaluate over other rows than the cascade does (it reads element 0
+  of its evaluated digits, so its values depend on which row is first): in
+  a conjunct that is not its stage's first, or in a projection a later
+  conjunct of the stage filters. The first conjunct sees the cascade's
+  rows (all input rows), and so does a projection no conjunct follows
+  (the selected rows);
+* a substitution failure (an expression node kind inlining cannot rebuild).
+
+The projection of a stage whose output feeds only its fused aggregate is
+never evaluated, so it is not compiled either.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import dataclasses
+from typing import List, Optional
 
-import numpy as np
-
-from repro.core.expr_eval import ExpressionEvaluator
-from repro.core.kernels.compiler import compile_filter, compile_projection
+from repro.core.kernels.compiler import (
+    UnsupportedExpr,
+    compile_filter,
+    compile_projection,
+)
 from repro.core.operators.aggregate import SortAggregateExec
-from repro.core.operators.base import Relation
+from repro.core.operators.base import Operator
 from repro.core.operators.filter import FilterExec
-from repro.core.operators.fused import (
-    FusedFilterExec,
-    FusedFilterProjectExec,
-    _GatherEvaluator,
+from repro.core.operators.stage import (
+    CompiledStageExec,
+    can_substitute,
     substitute_columns,
 )
-from repro.core.operators.project import ProjectExec
 from repro.errors import ExecutionError
 from repro.sql import bound as b
-from repro.storage.table import Table
 
 
 def _subexprs(expr: b.BoundExpr):
     """Depth-first walk over a bound expression tree (generic over node
     kinds: every bound node is a dataclass whose expression-valued fields
     are BoundExpr instances, lists of them, or BCase's (cond, value) pairs)."""
-    import dataclasses
     yield expr
     for field in dataclasses.fields(expr):
         value = getattr(expr, field.name)
@@ -96,135 +101,95 @@ def _position_dependent(expr: b.BoundExpr) -> bool:
     return False
 
 
-def _fusable(exprs: Sequence[b.BoundExpr]) -> bool:
-    return not any(e is None or e.contains_udf() or _position_dependent(e)
-                   for e in exprs)
+class _StagePlan:
+    """One stage being grouped: its cascade slice plus inlined expressions."""
 
+    def __init__(self):
+        self.ops = []
+        self.conjuncts: List[b.BoundExpr] = []
+        self.exprs: Optional[List[b.BoundExpr]] = None
+        self.names: Optional[List[str]] = None
+        self._position_dependent_projection = False
 
-class CompiledPipeline:
-    """Plan-time artifact: base-level mask kernel + output stage.
+    def accepts(self, op) -> bool:
+        if not self.ops:
+            return True
+        if self.exprs is not None and not can_substitute(self.exprs):
+            return False
+        if isinstance(op, FilterExec):
+            return not (self.conjuncts and op.predicate.contains_udf())
+        return True
 
-    ``run`` executes the whole fused subtree over a scanned relation. The
-    output stage is exactly one of: a projection kernel, a rewritten sort
-    aggregate, or a plain row gather (pure filter chains).
-    """
-
-    def __init__(self, filter_kernel, project_kernel, aggregate, stages: int):
-        self.filter_kernel = filter_kernel        # Optional[FilterKernel]
-        self.project_kernel = project_kernel      # Optional[ProjectKernel]
-        self.aggregate = aggregate                # Optional[SortAggregateExec]
-        self.stages = stages                      # fused operator count
-
-    def run(self, relation: Relation) -> Relation:
-        table = relation.table
-        if self.filter_kernel is not None:
-            mask = self.filter_kernel.mask(ExpressionEvaluator(table))
-            indices = np.flatnonzero(mask)
-            selected = _GatherEvaluator(table, indices)
+    def add(self, op) -> None:
+        self.ops.append(op)
+        if isinstance(op, FilterExec):
+            if (self.conjuncts and _position_dependent(op.predicate)) \
+                    or self._position_dependent_projection:
+                raise UnsupportedExpr("position-dependent ROUND")
+            self.conjuncts.extend(self._inline([op.predicate]))
         else:
-            indices = None
-            selected = ExpressionEvaluator(table)
-        if self.aggregate is not None:
-            agg = self.aggregate
-            keys = [selected.evaluate_column(e, n)
-                    for e, n in zip(agg.group_exprs, agg.group_names)]
-            agg_inputs = [
-                selected.evaluate_column(s.arg, s.name) if s.arg is not None
-                else None
-                for s in agg.aggregates
-            ]
-            return agg.aggregate_evaluated(keys, agg_inputs,
-                                           selected.num_rows, table.device,
-                                           table.name)
-        if self.project_kernel is not None:
-            columns = self.project_kernel.columns(selected)
-            return Relation(Table(table.name, columns))
-        return Relation(table.take(indices))
+            if any(_position_dependent(e) for e in op.exprs):
+                self._position_dependent_projection = True
+            self.exprs = self._inline(op.exprs)
+            self.names = list(op.names)
 
-
-def compile_pipeline(pipeline: List, aggregate=None) -> Optional[CompiledPipeline]:
-    """Lower a row-wise operator chain (bottom-up, scan excluded) plus an
-    optional sort aggregate into one :class:`CompiledPipeline`.
-
-    Returns None when a breaker rule fires or there is nothing to fuse: a
-    lone Filter/Project without an aggregate on top already runs as a single
-    pass through the per-operator kernels.
-    """
-    if aggregate is not None and type(aggregate) is not SortAggregateExec:
-        return None
-    if not pipeline or (aggregate is None and len(pipeline) < 2):
-        return None
-
-    conjuncts: List[b.BoundExpr] = []
-    inner: Optional[List[b.BoundExpr]] = None   # current schema, base-level
-    names: Optional[List[str]] = None
-
-    def to_base(exprs):
-        if inner is None:
+    def _inline(self, exprs) -> List[b.BoundExpr]:
+        if self.exprs is None:
             return list(exprs)
-        return [substitute_columns(e, inner) for e in exprs]
+        try:
+            return [substitute_columns(e, self.exprs) for e in exprs]
+        except ExecutionError as exc:
+            raise UnsupportedExpr(f"substitution failed: {exc}") from None
+
+    def build(self, aggregate=None) -> List[Operator]:
+        """The stage, with ``aggregate`` fused into it when it can be, or
+        followed by it when it cannot."""
+        filter_kernel = compile_filter(self.conjuncts) if self.conjuncts else None
+        fused = _fused_aggregate(self.exprs, aggregate)
+        if fused is not None:
+            return [CompiledStageExec(self.ops, self.conjuncts, self.exprs,
+                                      filter_kernel, None, aggregate, fused)]
+        project_kernel = (compile_projection(self.exprs, self.names)
+                          if self.exprs is not None else None)
+        stage = CompiledStageExec(self.ops, self.conjuncts, self.exprs,
+                                  filter_kernel, project_kernel)
+        return [stage] if aggregate is None else [stage, aggregate]
+
+
+def lower_chain(ops: List, aggregate=None) -> List[Operator]:
+    """Group a bottom-up FilterExec/ProjectExec cascade into stages.
+
+    ``aggregate`` is the operator consuming the chain, if the caller wants
+    it fused; it is returned fused into the last stage or, when it cannot
+    fuse, as the last operator. Raises :class:`UnsupportedExpr` (its message
+    is the reason) when any part of the chain cannot compile; the caller
+    then keeps the cascade.
+    """
+    plans = [_StagePlan()]
+    for op in ops:
+        if not plans[-1].accepts(op):
+            plans.append(_StagePlan())
+        plans[-1].add(op)
+    lowered = [plan.build()[0] for plan in plans[:-1]]
+    return lowered + plans[-1].build(aggregate)
+
+
+def _fused_aggregate(inner: Optional[List[b.BoundExpr]],
+                     aggregate) -> Optional[SortAggregateExec]:
+    """``aggregate`` rewritten onto the stage's input columns, or None when
+    it must run as its own operator."""
+    if type(aggregate) is not SortAggregateExec:
+        return None
+    if inner is not None and not can_substitute(inner):
+        return None
+
+    def to_input(expr):
+        return expr if inner is None else substitute_columns(expr, inner)
 
     try:
-        for op in pipeline:
-            if isinstance(op, FusedFilterProjectExec):
-                if not _fusable(list(op.predicates) + list(op.exprs)):
-                    return None
-                conjuncts.extend(to_base(op.predicates))
-                inner = to_base(op.exprs)
-                names = list(op.names)
-            elif isinstance(op, FusedFilterExec):
-                if not _fusable(op.predicates):
-                    return None
-                conjuncts.extend(to_base(op.predicates))
-            elif isinstance(op, FilterExec):
-                if not _fusable([op.predicate]):
-                    return None
-                conjuncts.extend(to_base([op.predicate]))
-            elif isinstance(op, ProjectExec):
-                if not _fusable(op.exprs):
-                    return None
-                inner = to_base(op.exprs)
-                names = list(op.names)
-            else:
-                return None
-
-        fused_agg = None
-        if aggregate is not None:
-            group_exprs = list(aggregate.group_exprs)
-            specs = list(aggregate.aggregates)
-            if not _fusable(group_exprs + [s.arg for s in specs
-                                           if s.arg is not None]):
-                return None
-            group_exprs = to_base(group_exprs)
-            specs = [
-                b.AggSpec(func=s.func, arg=to_base([s.arg])[0],
-                          distinct=s.distinct, name=s.name,
-                          data_type=s.data_type)
-                if s.arg is not None else s
-                for s in specs
-            ]
-            fused_agg = SortAggregateExec(group_exprs,
-                                          list(aggregate.group_names), specs)
+        group_exprs = [to_input(e) for e in aggregate.group_exprs]
+        specs = [dataclasses.replace(s, arg=to_input(s.arg)) if s.arg is not None
+                 else s for s in aggregate.aggregates]
     except ExecutionError:
         return None
-
-    # Substitution can move a conjunct across a selection boundary (it now
-    # evaluates over all base rows); re-check position dependence on the
-    # rewritten forms too.
-    if any(_position_dependent(c) for c in conjuncts):
-        return None
-
-    filter_kernel = None
-    if conjuncts:
-        filter_kernel = compile_filter(conjuncts)
-        if filter_kernel is None:
-            return None
-    project_kernel = None
-    if fused_agg is None and inner is not None:
-        project_kernel = compile_projection(inner, names)
-        if project_kernel is None:
-            return None
-    if filter_kernel is None and project_kernel is None and fused_agg is None:
-        return None
-    stages = len(pipeline) + (1 if aggregate is not None else 0)
-    return CompiledPipeline(filter_kernel, project_kernel, fused_agg, stages)
+    return SortAggregateExec(group_exprs, list(aggregate.group_names), specs)

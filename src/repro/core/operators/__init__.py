@@ -3,7 +3,6 @@
 from repro.core.operators.aggregate import HashAggregateExec, SortAggregateExec
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.filter import FilterExec, SoftFilterExec
-from repro.core.operators.fused import FusedFilterExec, FusedFilterProjectExec
 from repro.core.operators.index_scan import (
     CreateIndexExec,
     DropIndexExec,
@@ -22,12 +21,12 @@ from repro.core.operators.scan import ScanExec, shared_scans
 from repro.core.operators.sharded import ShardedAggregateExec, ShardedScanExec
 from repro.core.operators.soft_aggregate import SoftAggregateExec
 from repro.core.operators.sort import DistinctExec, LimitExec, SortExec, TopKExec
+from repro.core.operators.stage import CompiledStageExec
 
 __all__ = [
-    "CreateIndexExec", "DistinctExec", "DropIndexExec",
-    "ExchangeGroupedAggregateExec", "FilterExec", "FusedFilterExec",
-    "FusedFilterProjectExec", "HashAggregateExec", "HashPartitioner",
-    "IndexScanExec", "JoinExec", "LimitExec", "Operator",
+    "CompiledStageExec", "CreateIndexExec", "DistinctExec", "DropIndexExec",
+    "ExchangeGroupedAggregateExec", "FilterExec", "HashAggregateExec",
+    "HashPartitioner", "IndexScanExec", "JoinExec", "LimitExec", "Operator",
     "PartitionedJoinExec", "ProjectExec", "RangePartitioner", "Relation",
     "ScanExec", "ShardedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
     "SoftAggregateExec", "SoftFilterExec", "SortAggregateExec", "SortExec",

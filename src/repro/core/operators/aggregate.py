@@ -424,7 +424,7 @@ class SortAggregateExec(_AggregateBase):
                             device, table_name: str) -> Relation:
         """Aggregate already-evaluated key/argument columns.
 
-        Split out of ``forward`` so the fused-pipeline path can feed columns
+        Split out of ``forward`` so a compiled stage can feed columns
         evaluated over a selection view without materialising the projected
         relation first — the computation is identical by construction.
         """

@@ -13,6 +13,8 @@ from repro.sql import bound as b
 class FilterExec(Operator):
     """Exact filter: evaluate the predicate to a mask and gather rows."""
 
+    declined = None     # why the compiler kept this chain off the kernels
+
     def __init__(self, predicate: b.BoundExpr):
         super().__init__()
         self.predicate = predicate
@@ -27,7 +29,8 @@ class FilterExec(Operator):
         return Relation(table, weights)
 
     def describe(self) -> str:
-        return f"Filter({self.predicate})"
+        text = f"Filter({self.predicate})"
+        return text if self.declined is None else f"{text} declined={self.declined}"
 
 
 class SoftFilterExec(Operator):

@@ -12,6 +12,8 @@ from repro.storage.table import Table
 
 
 class ProjectExec(Operator):
+    declined = None     # why the compiler kept this chain off the kernels
+
     def __init__(self, exprs: List[b.BoundExpr], names: List[str]):
         super().__init__()
         self.exprs = exprs
@@ -27,7 +29,8 @@ class ProjectExec(Operator):
         return Relation(Table(relation.table.name, columns), relation.weights)
 
     def describe(self) -> str:
-        return f"Project({', '.join(self.names)})"
+        text = f"Project({', '.join(self.names)})"
+        return text if self.declined is None else f"{text} declined={self.declined}"
 
 
 class TVFExec(Operator):

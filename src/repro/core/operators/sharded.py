@@ -3,8 +3,8 @@
 The compiler (via :func:`parallelize`) rewrites lowered operator trees when
 the query runs with ``shards > 1``:
 
-* ``Scan → {Filter | FusedFilter | FusedFilterProject | Project}*`` prefixes
-  become one :class:`ShardedScanExec`, which resolves the scan once, splits
+* ``Scan → {Filter | Project | CompiledStage}*`` prefixes become one
+  :class:`ShardedScanExec`, which resolves the scan once, splits
   its rows into contiguous shards (boundaries aligned to the device's
   micro-batch granularity when the prefix evaluates UDFs), runs the prefix
   per shard on the session's :class:`~repro.core.partition.ShardPool`, and
@@ -18,7 +18,9 @@ the query runs with ``shards > 1``:
   Non-mergeable aggregates (float sums, DISTINCT), GROUP BY, joins, sorts,
   TVFs and trainable pipelines execute after the deterministic merge
   barrier, over the stitched relation — which is bitwise the relation
-  serial execution would have produced.
+  serial execution would have produced. The compiler fuses no aggregate
+  into a compiled stage when these rewrites run, so every stage they see
+  is row-wise.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import time
 from typing import List, Optional
 
 from repro.core import tensor_cache as tc
-from repro.core.kernels.compiler import KernelFallback
 from repro.core.scheduler import new_encode_scope
 from repro.core.operators.aggregate import (
     HashAggregateExec,
@@ -40,27 +41,26 @@ from repro.core.operators.aggregate import (
 )
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.filter import FilterExec, SoftFilterExec
-from repro.core.operators.fused import FusedFilterExec, FusedFilterProjectExec
 from repro.core.operators.project import ProjectExec
 from repro.core.operators.scan import ScanExec, shard_slices
+from repro.core.operators.stage import CompiledStageExec
 from repro.core.partition import plan_shards, run_sharded, stitch_relations
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.telemetry import annotate, span, tracing
 from repro.storage.table import Table
 
-_ROW_WISE_OPS = (FilterExec, FusedFilterExec, FusedFilterProjectExec, ProjectExec)
+_ROW_WISE_OPS = (FilterExec, ProjectExec, CompiledStageExec)
 
 
-def _op_exprs(op: Operator) -> list:
+def _op_parts(op: Operator) -> tuple:
+    """``(selection predicates, output expressions)`` of a row-wise op."""
     if isinstance(op, FilterExec):
-        return [op.predicate]
-    if isinstance(op, FusedFilterExec):
-        return list(op.predicates)
-    if isinstance(op, FusedFilterProjectExec):
-        return list(op.predicates) + list(op.exprs)
+        return [op.predicate], []
     if isinstance(op, ProjectExec):
-        return list(op.exprs)
-    return []
+        return [], list(op.exprs)
+    if isinstance(op, CompiledStageExec):
+        return list(op.conjuncts), list(op.exprs or [])
+    return [], []
 
 
 def _exprs_contain_udf(exprs) -> bool:
@@ -99,19 +99,14 @@ def _post_filter_udf(pipeline: List[Operator]) -> bool:
     could not match serial execution's and sharding must be declined."""
     selected = False
     for op in pipeline:
-        if isinstance(op, (FilterExec, FusedFilterExec)):
-            if selected and _exprs_contain_udf(_op_exprs(op)):
-                return True
-            selected = True
-        elif isinstance(op, FusedFilterProjectExec):
-            if selected and _exprs_contain_udf(op.predicates):
-                return True
-            # The projection expressions always see post-filter rows.
-            if _exprs_contain_udf(op.exprs):
-                return True
-            selected = True
-        elif selected and _exprs_contain_udf(_op_exprs(op)):
+        predicates, outputs = _op_parts(op)
+        if selected and _exprs_contain_udf(predicates + outputs):
             return True
+        if predicates:
+            # An op's own outputs always see its post-filter rows.
+            if _exprs_contain_udf(outputs):
+                return True
+            selected = True
     return False
 
 
@@ -124,20 +119,15 @@ class _ShardedBase(Operator):
         self.pool = pool
         self.shards = int(shards)
         self.min_rows = int(min_rows)
-        # Optional whole-pipeline kernel (attached by the compiler's
-        # pipeline-fusion pass): runs the row-wise body as one fused
-        # callable per shard, with the per-operator loop as runtime oracle.
-        self.compiled_pipeline = None
         self.register_module("scan_op", scan)
         for i, op in enumerate(self.pipeline):
             self.register_module(f"stage{i}", op)
+        parts = [_op_parts(op) for op in self.pipeline]
         self._pipeline_has_udf = any(
-            _exprs_contain_udf(_op_exprs(op)) for op in self.pipeline)
+            _exprs_contain_udf(predicates + outputs)
+            for predicates, outputs in parts)
         self._post_filter_udf = _post_filter_udf(self.pipeline)
-        self._pipeline_filters = any(
-            isinstance(op, (FilterExec, FusedFilterExec,
-                            FusedFilterProjectExec))
-            for op in self.pipeline)
+        self._pipeline_filters = any(predicates for predicates, _ in parts)
 
     def _bounds(self, num_rows: int, extra_udf: bool = False):
         from repro.core.partition import default_shards
@@ -157,21 +147,13 @@ class _ShardedBase(Operator):
         return plan_shards(num_rows, shards, self.min_rows, align)
 
     def _run_pipeline(self, relation: Relation) -> Relation:
-        if self.compiled_pipeline is not None:
-            try:
-                result = self.compiled_pipeline.run(relation)
-            except KernelFallback:
-                annotate(path="fallback")
-            else:
-                annotate(path="pipeline")
-                return result
         if not tracing():
             for op in self.pipeline:
                 relation = op(relation)
             return relation
-        # Traced: time each fused stage so EXPLAIN ANALYZE can attribute
-        # kernel-vs-fallback paths (annotated by the compiled operators)
-        # stage by stage, inside whichever shard span is open.
+        # Traced: time each operator so EXPLAIN ANALYZE can attribute
+        # kernel-vs-fallback paths (annotated by the compiled stages)
+        # operator by operator, inside whichever shard span is open.
         for op in self.pipeline:
             with span("shard_op", op=op.describe(),
                       rows_in=relation.num_rows) as sp:
@@ -181,10 +163,7 @@ class _ShardedBase(Operator):
 
     def _pipeline_text(self) -> str:
         parts = [self.scan.describe()] + [op.describe() for op in self.pipeline]
-        text = " -> ".join(parts)
-        if self.compiled_pipeline is not None:
-            return f"fused[{text}]"
-        return text
+        return " -> ".join(parts)
 
 
 class ShardedScanExec(_ShardedBase):

@@ -50,7 +50,7 @@ def _similarity_call(expr: b.BoundExpr) -> Optional[Tuple[object, str, int]]:
 def _match(plan: logical.LogicalPlan, indexes) -> Optional[logical.LogicalPlan]:
     if not isinstance(plan, logical.Limit) or plan.count is None:
         return None
-    from repro.core.operators.fused import substitute_columns
+    from repro.core.operators.stage import substitute_columns
 
     # Walk Project/Sort/Filter chains down to the Scan, keeping the final
     # output expressions (`post`), the descending sort key (`key_expr`) and

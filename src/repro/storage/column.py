@@ -185,17 +185,20 @@ class Column:
         col = self.materialize()
         idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
         gathered = ops.getitem(col.tensor, idx)
-        lineage = None
-        if idx.ndim == 1 and idx.dtype.kind in "iu":
-            base = col.lineage
-            if base is None:
-                token = identity_token(col.tensor)
-                base = (token, None) if token is not None else None
-            if base is not None:
-                base_token, base_rows = base
-                rows = idx if base_rows is None else base_rows[idx]
-                lineage = (base_token, rows)
-        return Column(self.name, EncodedTensor(gathered, col.encoding), lineage)
+        return Column(self.name, EncodedTensor(gathered, col.encoding),
+                      _take_lineage(col, idx))
+
+    def take_deferred(self, indices: np.ndarray) -> "Column":
+        """``take`` whose copy waits until the gathered data is first read.
+
+        Name, encoding, device, row count and lineage are known without the
+        copy, so a consumer that reads only those (a tensor-cache probe keys
+        on lineage) or never reads the column at all copies nothing. The
+        values, once read, are exactly ``take(indices)``'s.
+        """
+        if isinstance(self.encoding, RunLengthEncoding):
+            return self.take(indices)
+        return _DeferredTake(self, indices)
 
     def slice_rows(self, start: int, stop: int) -> "Column":
         """Contiguous row range ``[start, stop)`` as a zero-copy view.
@@ -259,3 +262,62 @@ class Column:
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, type={self.data_type}, rows={self.num_rows})"
+
+
+def _take_lineage(col: Column, idx: np.ndarray):
+    """Lineage of ``col.take(idx)``: ``(base token, base row indices)``."""
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        return None
+    base = col.lineage
+    if base is None:
+        token = identity_token(col.tensor)
+        base = (token, None) if token is not None else None
+    if base is None:
+        return None
+    base_token, base_rows = base
+    return (base_token, idx if base_rows is None else base_rows[idx])
+
+
+class _DeferredTake(Column):
+    """A row gather of ``source`` that copies on the first read of its data
+    (see :meth:`Column.take_deferred`). Gathering it again composes the
+    indices and stays deferred, so a chain of selections copies once."""
+
+    __slots__ = ("_source", "_indices", "_taken")
+
+    def __init__(self, source: Column, indices: np.ndarray):
+        # Column.__init__ would assign ``encoded``, which is computed here.
+        self.name = source.name
+        self.lineage = _take_lineage(source, indices)
+        self._source = source
+        self._indices = indices
+        self._taken = None
+
+    @property
+    def encoded(self) -> EncodedTensor:
+        if self._taken is None:
+            self._taken = self._source.take(self._indices).encoded
+        return self._taken
+
+    @property
+    def encoding(self) -> Encoding:
+        return self._source.encoding
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._indices)
+
+    @property
+    def device(self):
+        return self._source.device
+
+    def take(self, indices) -> Column:
+        idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
+        if self._taken is None and idx.ndim == 1 and idx.dtype.kind in "iu":
+            return self.take_deferred(idx)
+        return super().take(indices)
+
+    def take_deferred(self, indices: np.ndarray) -> Column:
+        if self._taken is not None:
+            return super().take_deferred(indices)
+        return _DeferredTake(self._source, self._indices[indices])

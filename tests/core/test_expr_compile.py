@@ -5,10 +5,11 @@ Covers the contracts the differential harness cannot pin down one by one:
 * the char-code LIKE kernel against a ground-truth SQL LIKE oracle,
   including the newline behaviour the old regex lowering (no ``DOTALL``)
   got wrong, wildcards, and regex metacharacters in patterns;
-* plan-time fallback — unsupported expression shapes compile to the plain
-  interpreted operators (no ``Compiled*`` in the plan) with equal results;
+* plan-time fallback — a chain with an unsupported expression shape stays
+  the plain interpreter cascade (no ``CompiledStage`` in the plan), shows
+  ``declined=<reason>`` in EXPLAIN, and returns equal results;
 * runtime fallback — a kernel raising :class:`KernelFallback` mid-query
-  silently re-runs the interpreted operator, bit-identically;
+  silently re-runs the stage's interpreter cascade, bit-identically;
 * ``compile_exprs`` enters the plan-cache fingerprint, so flipping it can
   never serve a plan compiled under the other mode;
 * the session memo for ``encode_text`` (satellite of the kernel work);
@@ -146,9 +147,10 @@ class TestFallbacks:
     def test_plan_time_fallback_on_unsupported_projection(self):
         """SUBSTR with a non-constant start has no kernel lowering (the
         kernel folds bounds at plan time): the planner must keep the
-        interpreted operator rather than emit a broken kernel. The
-        engine-wide contract (interpreter included) is constant bounds, so
-        both paths surface the same ExecutionError at run time."""
+        interpreter cascade rather than emit a broken kernel, and EXPLAIN
+        says why. The engine-wide contract (interpreter included) is
+        constant bounds, so both paths surface the same ExecutionError at
+        run time."""
         session = _numbers_session()
         stmt = ("SELECT id, SUBSTR(s, 1 + x % 2, 2) AS sx FROM t "
                 "WHERE x > 0")
@@ -160,9 +162,42 @@ class TestFallbacks:
                   if "sx" in line and "(" in line]
         assert sx_ops and all("Compiled" not in line for line in sx_ops), \
             compiled.explain()
+        assert "declined=SUBSTR with non-constant start/length" in sx_ops[-1]
         for extra in ({"compile_exprs": True}, {"compile_exprs": False}):
             with pytest.raises(ExecutionError, match="constant"):
                 session.sql.query(stmt, extra_config=extra).run()
+
+    def test_position_dependent_round_declines_only_off_the_cascade_rows(self):
+        """Two-argument ROUND with a column digits operand reads the digits
+        of the first row it sees. A stage evaluates its first conjunct over
+        all input rows and its projection over the selected rows, exactly
+        as the cascade does, so those shapes compile; a later conjunct, or
+        a projection a later conjunct filters, would see other rows, so the
+        chain keeps the cascade and EXPLAIN says why."""
+        session = _numbers_session()
+        compiles = [
+            "SELECT id, ROUND(x, id) AS r FROM t WHERE x > 0",
+            "SELECT id FROM t WHERE ROUND(x, id) > 1",
+            "SELECT SUM(r) AS total FROM "
+            "(SELECT ROUND(x, id) AS r FROM t WHERE x > 0)",
+        ]
+        declines = [
+            "SELECT id FROM t WHERE x > 0 AND ROUND(x, id) > 1",
+            "SELECT r FROM (SELECT id, ROUND(x, id) AS r FROM t WHERE x > 0) "
+            "WHERE r > 1",
+        ]
+        for stmt in compiles + declines:
+            compiled = session.sql.query(stmt,
+                                         extra_config={"compile_exprs": True})
+            plan = compiled.explain()
+            if stmt in compiles:
+                assert "CompiledStage" in plan and "declined" not in plan, plan
+            else:
+                assert "CompiledStage" not in plan, plan
+                assert "declined=position-dependent ROUND" in plan, plan
+            base = session.sql.query(stmt, extra_config={"compile_exprs": False})
+            _assert_equal_results(_snapshot(base.run()),
+                                  _snapshot(compiled.run()), stmt)
 
     def test_cast_to_string_now_compiles(self):
         """CAST to STRING gained a kernel lowering (PR 8): it compiles and
@@ -175,6 +210,38 @@ class TestFallbacks:
         base = session.sql.query(stmt, extra_config={"compile_exprs": False})
         _assert_equal_results(_snapshot(base.run()),
                               _snapshot(compiled.run()), stmt)
+
+    def test_position_dependent_round_declines_only_off_the_cascade_rows(self):
+        """Two-argument ROUND with a column digits operand reads the digits
+        of the first row it sees. A stage evaluates its first conjunct over
+        all input rows and its projection over the selected rows, exactly
+        as the cascade does, so those shapes compile; a later conjunct, or
+        a projection a later conjunct filters, would see other rows, so the
+        chain keeps the cascade and EXPLAIN says why."""
+        session = _numbers_session()
+        compiles = [
+            "SELECT id, ROUND(x, id) AS r FROM t WHERE x > 0",
+            "SELECT id FROM t WHERE ROUND(x, id) > 1",
+            "SELECT SUM(r) AS total FROM "
+            "(SELECT ROUND(x, id) AS r FROM t WHERE x > 0)",
+        ]
+        declines = [
+            "SELECT id FROM t WHERE x > 0 AND ROUND(x, id) > 1",
+            "SELECT r FROM (SELECT id, ROUND(x, id) AS r FROM t WHERE x > 0) "
+            "WHERE r > 1",
+        ]
+        for stmt in compiles + declines:
+            compiled = session.sql.query(stmt,
+                                         extra_config={"compile_exprs": True})
+            plan = compiled.explain()
+            if stmt in compiles:
+                assert "CompiledStage" in plan and "declined" not in plan, plan
+            else:
+                assert "CompiledStage" not in plan, plan
+                assert "declined=position-dependent ROUND" in plan, plan
+            base = session.sql.query(stmt, extra_config={"compile_exprs": False})
+            _assert_equal_results(_snapshot(base.run()),
+                                  _snapshot(compiled.run()), stmt)
 
     def test_cast_to_string_now_compiles(self):
         """CAST to STRING gained a kernel lowering (PR 8): it compiles and

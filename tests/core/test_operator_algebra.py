@@ -2,8 +2,8 @@
 
 Four algebraic contracts the execution engine relies on:
 
-* **Fusion transparency** — fused Filter/Project pipelines produce exactly
-  what the unfused operator cascade produces (`fuse_operators` on vs. off).
+* **Stage transparency** — compiled row stages produce exactly what the
+  interpreter's Filter/Project cascade produces (`compile_exprs` on vs. off).
 * **Partial-aggregate soundness** — merging per-shard partial states equals
   aggregating the whole relation, for every exact-mergeable aggregate and
   every split of the input (including empty and single-row shards).
@@ -15,9 +15,8 @@ Four algebraic contracts the execution engine relies on:
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
   tables, dictionary- and char-code-encoded string columns), serial and
-  sharded — and the same law over *whole-pipeline* callables
-  (`compile_pipelines` on): fused scan→filter→project[→grouped aggregate]
-  kernels at shards 1/3/4, including the sharded grouped-partial merge.
+  sharded — including stages ending in a fused grouped aggregate at
+  shards 1/3/4 and the sharded grouped-partial merge.
 """
 
 import numpy as np
@@ -96,7 +95,7 @@ STATEMENTS = [
 
 
 # ----------------------------------------------------------------------
-# Fused vs. unfused
+# Compiled stages vs. the interpreter cascade
 # ----------------------------------------------------------------------
 @settings(**SETTINGS)
 @given(data=tables())
@@ -104,9 +103,9 @@ def test_fused_equals_unfused(data):
     session = _register(data)
     for stmt in STATEMENTS:
         fused = _snapshot(session.sql.query(
-            stmt, extra_config={"fuse_operators": True}).run())
+            stmt, extra_config={"compile_exprs": True}).run())
         unfused = _snapshot(session.sql.query(
-            stmt, extra_config={"fuse_operators": False}).run())
+            stmt, extra_config={"compile_exprs": False}).run())
         _assert_bitwise(fused, unfused, stmt)
 
 
@@ -219,19 +218,13 @@ def test_partial_merge_equals_whole_int(values, cuts, func):
 # ----------------------------------------------------------------------
 # Compiled kernels ≡ interpreter
 # ----------------------------------------------------------------------
-INTERP_CONFIG = {"compile_exprs": False, "compile_pipelines": False}
+INTERP_CONFIG = {"compile_exprs": False}
+# Compiled stages serial and sharded (odd and even shard counts — unequal
+# and equal grouped-partial splits).
 KERNEL_CONFIGS = (
-    {"compile_exprs": True, "compile_pipelines": False},
-    {"compile_exprs": True, "compile_pipelines": False,
-     "shards": 3, "parallel_min_rows": 2},
-    # Whole-pipeline codegen (PR 8): the same law over fused callables,
-    # serial and sharded (odd and even shard counts — unequal and equal
-    # grouped-partial splits).
-    {"compile_exprs": True, "compile_pipelines": True},
-    {"compile_exprs": True, "compile_pipelines": True,
-     "shards": 3, "parallel_min_rows": 2},
-    {"compile_exprs": True, "compile_pipelines": True,
-     "shards": 4, "parallel_min_rows": 2},
+    {"compile_exprs": True},
+    {"compile_exprs": True, "shards": 3, "parallel_min_rows": 2},
+    {"compile_exprs": True, "shards": 4, "parallel_min_rows": 2},
 )
 
 _NUM_LEAVES = ("id", "x", "y", "3", "0.5", "-2")
@@ -358,8 +351,8 @@ def test_compiled_equals_interpreted(data, num, cond):
 @settings(**SETTINGS)
 @given(data=tables(), num=num_exprs(), cond=bool_exprs())
 def test_pipeline_grouped_aggregate_law(data, num, cond):
-    """The compiled ≡ interpreted law over whole-pipeline callables ending
-    in a grouped aggregate (filter → project → GROUP BY). Int aggregates
+    """The compiled ≡ interpreted law over stages ending in a fused grouped
+    aggregate (filter → project → GROUP BY). Int aggregates
     shard through exact-mergeable grouped partials; AVG over a float
     expression is non-mergeable and must keep the merge barrier — both
     sides of that plan-time split have to hold the law bit-for-bit."""

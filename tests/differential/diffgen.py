@@ -303,9 +303,9 @@ def _group_agg_stmt(r: random.Random) -> DiffStatement:
 
 
 def _pipeline_group_stmt(r: random.Random) -> DiffStatement:
-    """Filter → (computed) project → GROUP BY: the exact shape PR 8's
-    whole-pipeline compiler fuses (and lowers to grouped partials under
-    shards), with expression-valued aggregate arguments so the fused
+    """Filter → (computed) project → GROUP BY: the exact shape a compiled
+    stage fuses with its aggregate (and lowers to grouped partials under
+    shards), with expression-valued aggregate arguments so the inlined
     projection feeds the aggregate. Miniduck evaluates expression
     aggregates, so this stays oracle-covered."""
     table = _pick_table(r)

@@ -1,18 +1,13 @@
 """Differential-testing entry point (see README.md in this directory).
 
 Each seed drives a full stream of generated statements through
-``diffrun.run_differential``: engine interpreter/kernels × serial/sharded
-(all bitwise against the serial interpreter) plus the miniduck oracle. The
-default budget keeps tier-1 fast; CI's ``differential`` job widens it via
-the environment:
+``diffrun.run_differential``: engine interpreter/compiled stages ×
+serial/sharded (all bitwise against the serial interpreter) plus the
+miniduck oracle. Every leg runs for every statement. The default budget
+keeps tier-1 fast; CI's ``differential`` job widens it via the environment:
 
 * ``REPRO_DIFF_SEEDS``  — comma-separated seed list (default ``1,2``)
 * ``REPRO_DIFF_STATEMENTS`` — statements per seed (default ``60``)
-* ``REPRO_COMPILE_EXPRS`` — ``0`` skips the compiled-kernel legs (CI runs
-  a 0/1 matrix so both engine modes keep full-stream coverage)
-* ``REPRO_COMPILE_PIPELINES`` — ``0`` skips the whole-pipeline codegen legs
-  (shards 1/3/4 with ``compile_pipelines=True``); they also require the
-  kernel legs to be on
 * ``REPRO_EXCHANGE`` — ``0`` turns the exchange rewrite off in the default
   sharded legs (the explicit exchange-on/off legs always run)
 """
@@ -45,13 +40,8 @@ def test_differential_seed(seed):
     oracle_eligible = stats["oracle_checked"] + stats["oracle_skipped"]
     assert stats["oracle_checked"] >= 0.8 * max(oracle_eligible, 1), stats
     assert stats["oracle_checked"] > 0
-    # Compiled-kernel legs (serial + sharded) run per statement unless the
-    # CI matrix disabled them for this job.
-    # Exchange legs (on at shards=3, explicitly off at shards=4) run for
-    # every statement regardless of the REPRO_EXCHANGE matrix setting.
+    # Compiled-stage legs (shards 1/3/4) and exchange legs (on at shards=3,
+    # explicitly off at shards=4) run for every statement regardless of the
+    # REPRO_EXCHANGE matrix setting.
+    assert stats["compiled_checked"] == 3 * _count(), stats
     assert stats["exchange_checked"] == 2 * _count(), stats
-    if os.environ.get("REPRO_COMPILE_EXPRS", "1") != "0":
-        assert stats["kernel_checked"] == 2 * _count(), stats
-        # Whole-pipeline codegen legs (shards 1/3/4) ride on the kernels.
-        if os.environ.get("REPRO_COMPILE_PIPELINES", "1") != "0":
-            assert stats["pipeline_checked"] == 3 * _count(), stats

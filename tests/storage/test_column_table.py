@@ -48,6 +48,35 @@ class TestColumn:
         col.take(np.array([1, 1])).tensor.sum().backward()
         assert t.grad.tolist() == [0.0, 2.0, 0.0]
 
+    def test_take_deferred_copies_on_first_read(self, monkeypatch):
+        col = Column.from_values("img", np.arange(24.0).reshape(6, 2, 2))
+        idx = np.array([4, 1, 5])
+        copies = []
+        original = Column.take
+        monkeypatch.setattr(Column, "take", lambda self, indices: (
+            copies.append(len(indices)), original(self, indices))[1])
+        deferred = col.take_deferred(idx)
+        # Metadata and lineage come without a copy, and a second gather
+        # composes its indices instead of copying the first one's rows.
+        again = deferred.take(np.array([2, 0]))
+        assert (deferred.num_rows, again.num_rows, copies) == (3, 2, [])
+        assert deferred.encoding is col.encoding and deferred.name == "img"
+        eager = original(col, idx)
+        assert deferred.lineage[0] == eager.lineage[0]
+        np.testing.assert_array_equal(deferred.lineage[1], eager.lineage[1])
+        np.testing.assert_array_equal(again.lineage[1], [5, 4])
+        np.testing.assert_array_equal(deferred.decode(), eager.decode())
+        np.testing.assert_array_equal(again.decode(), eager.decode()[[2, 0]])
+        assert copies == [3, 2]
+        deferred.decode()
+        assert copies == [3, 2]                 # the copy is kept
+
+    def test_take_deferred_of_rle_gathers_eagerly(self):
+        col = Column("r", RunLengthEncoding.encode(np.array([7, 7, 8])))
+        taken = col.take_deferred(np.array([0, 2]))
+        assert type(taken) is Column
+        np.testing.assert_array_equal(taken.decode(), [7, 8])
+
     def test_rename_and_with_tensor(self):
         col = Column.from_values("a", [1.0, 2.0])
         assert col.rename("b").name == "b"
